@@ -34,6 +34,11 @@ two-level select yields a complete per-core assignment with no extra
 machinery.  With a single cluster the cap equals the full associativity and
 the second level degenerates to a pass-through, making the hierarchy
 bit-identical to the flat tree.
+
+The managers run :class:`~repro.core.packed_tree.PackedReduction`, a packed
+level-synchronous layout of this same reduction.  :class:`ReductionTree`
+and :func:`global_optimize` are the references it is tested against; the
+latter also drives the managers' ``incremental=False`` pipeline.
 """
 
 from __future__ import annotations

@@ -29,32 +29,29 @@ overheads:
   curve construction runs through :mod:`repro.core.batch_opt`'s stacked
   ``(N, C, F, W)`` tensors, per-core curves are memoized on a digest of
   (counter snapshot, ATD miss curve, QoS slack), and the global reduction
-  uses a persistent :class:`~repro.core.global_opt.ReductionTree` that only
-  re-combines the ``O(log N)`` root path of leaves that actually changed;
+  uses one persistent :class:`~repro.core.packed_tree.PackedReduction`
+  that only re-combines the ``O(log N)`` root paths of leaves that
+  actually changed;
 * the **reference pipeline** (``incremental=False``): the original
-  recompute-everything path, kept as the executable specification --
-  ``tests/test_engine_equivalence.py`` replays both and compares with ``==``
-  on every number, and ``tools/bench_manager_overhead.py`` measures the
-  speedup against it.
+  recompute-everything path over
+  :func:`~repro.core.global_opt.global_optimize`, kept as the executable
+  specification -- ``tests/test_engine_equivalence.py`` replays both and
+  compares with ``==`` on every number, and
+  ``tools/bench_manager_overhead.py`` measures the speedup against it.
 
-For many-core systems (64-256 cores) the flat global reduction itself is
-the scaling wall: the top combines of the min-plus tree widen with the full
-LLC associativity, so every invocation pays a superlinear cost in the core
-count.  :class:`ClusteredManager` adds a hierarchical tier above the same
-machinery: cores are partitioned into clusters (``cluster_size``), each
-cluster runs the batched local pipeline plus its own capped
-:class:`~repro.core.global_opt.ReductionTree`, and a second-level tree
-combines the per-cluster aggregate curves to redistribute LLC ways -- and
-with them the power/slack headroom the QoS-pruned curves encode -- across
-clusters.  With one cluster it is bit-identical to the flat incremental
-manager; with many, it trades a bounded energy gap (the cluster way caps)
-for per-invocation work that scales with the cluster size instead of the
-system size.
+The incremental reduction is planned over a partition of the cores into
+contiguous clusters, each reducing under its own way cap before a second
+stage combines the cluster aggregates under the full associativity.  The
+flat manager is the one-cluster partition (cap = every way), which *is*
+the flat min-plus tree.  :class:`ClusteredManager` only supplies a finer
+partition: for many-core systems (64-256 cores) the flat reduction's top
+combines widen with the full LLC associativity, and capping the
+intra-cluster combines trades a bounded energy gap for per-invocation work
+that scales with the cluster size instead of the system size.
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -63,15 +60,10 @@ from repro.config import Allocation, AllocationMap, SystemConfig
 from repro.core.batch_opt import analytical_curves_batch, oracle_curves_batch
 from repro.core.curves import EnergyCurve
 from repro.core.energy_model import predict_epi_grid
-from repro.core.global_opt import (
-    ReductionTree,
-    cluster_way_caps,
-    global_optimize,
-    partition_clusters,
-)
+from repro.core.global_opt import cluster_way_caps, global_optimize, partition_clusters
 from repro.core.local_opt import DimSpec, local_optimize
 from repro.core.models import MLP_MODELS
-from repro.core.packed_tree import PackedReduction, packed_enabled
+from repro.core.packed_tree import PackedReduction
 from repro.core.overhead_meter import OverheadMeter
 from repro.core.perf_model import predict_tpi_grid
 from repro.core.qos import qos_target_tpi
@@ -103,15 +95,11 @@ class ResourceManager(ABC):
     def __init__(self) -> None:
         self.meter = OverheadMeter()
         self.sim = None
-        self._stage_timer = None
 
     def attach(self, sim) -> None:
         """Bind the manager to a simulator run and reset its run state."""
         self.sim = sim
         self.meter = OverheadMeter()
-        # Kernel-owned per-stage profiling (REPRO_PROFILE); None when off or
-        # when the simulator bridge predates the hook.
-        self._stage_timer = getattr(sim, "stage_timer", None)
 
     def on_scenario_event(self, core_id: int, kind: str) -> None:
         """The co-location set changed on ``core_id`` (scenario swap/depart).
@@ -170,7 +158,14 @@ class CoordinatedManager(ResourceManager):
         self.oracle = oracle
         self.incremental = incremental
         self.curves: dict[int, EnergyCurve] = {}
-        self._tree: ReductionTree | None = None
+        # The incremental reduction (None on the reference pipeline): one
+        # packed plan over the cluster partition (see _partition).
+        self._packed: PackedReduction | None = None
+        self._clusters: tuple[tuple[int, ...], ...] = ()
+        self._cluster_of: list[int] = []
+        # Clusters whose leaf inputs may have changed since their last
+        # refresh (see on_interval).
+        self._stale_clusters: set[int] = set()
         self._memo: dict = {}
         self._memo_shared: dict = {}
         self._pinned_cache: dict[int, EnergyCurve] = {}
@@ -180,7 +175,7 @@ class CoordinatedManager(ResourceManager):
         self._rec_digests: dict[tuple, tuple[bytes, bytes]] = {}
 
     def attach(self, sim) -> None:
-        """Reset all run state and (re)build the incremental reduction trees."""
+        """Reset all run state and (re)build the incremental reduction."""
         super().attach(sim)
         self.curves = {}
         self._memo = {}
@@ -192,41 +187,42 @@ class CoordinatedManager(ResourceManager):
         # Per-run: a reattached manager may face a different database whose
         # records reuse the same (bench, phase) identities.
         self._rec_digests = {}
-        self._tree = None
-        if self.incremental:
-            self._init_trees(sim.system)
+        self._packed = None
+        if not self.incremental:
+            return
+        system = sim.system
+        # Clusters are contiguous blocks in core order (partition_clusters),
+        # so a core's leaf slot in the packed plan is its id.
+        clusters, caps = self._partition(system)
+        self._clusters = clusters
+        self._cluster_of = [ci for ci, members in enumerate(clusters) for _ in members]
+        self._stale_clusters = set(range(len(clusters)))
+        self._packed = PackedReduction(
+            tuple(len(members) for members in clusters), tuple(caps),
+            system.llc.ways, system.min_ways_per_core,
+        )
 
-    def _init_trees(self, system: SystemConfig) -> None:
-        """Build the persistent reduction structure for ``incremental=True``.
+    def _partition(self, system: SystemConfig):
+        """``(clusters, way caps)`` the incremental reduction is planned over.
 
-        The flat manager keeps one tree over all cores -- at many-core
-        scale (:func:`~repro.core.packed_tree.packed_enabled`) the packed
-        level-synchronous variant, below it the node-graph reference; both
-        expose the same ``set_leaves``/``invalidate``/``solve`` surface and
-        are bit-identical.  :class:`ClusteredManager` overrides this with
-        the hierarchical tier.
+        The flat manager is one cluster of every core capped at the full
+        associativity -- the flat min-plus tree.
         """
-        if packed_enabled(system.ncores):
-            self._tree = PackedReduction(
-                (system.ncores,), (system.llc.ways,),
-                system.llc.ways, system.min_ways_per_core,
-            )
-        else:
-            self._tree = ReductionTree(
-                system.ncores, system.llc.ways, system.min_ways_per_core
-            )
+        return (tuple(range(system.ncores)),), (system.llc.ways,)
 
     def on_scenario_event(self, core_id: int, kind: str) -> None:
-        """Drop the departed tenant's curve and splice the tree leaf.
+        """Drop the departed tenant's curve and splice its reduction leaf.
 
         The cached curve models the departed tenant; the new one (or the
-        idle core) is pinned until fresh statistics arrive.  The reduction
-        tree's leaf is spliced (forced dirty) so the next solve re-combines
-        its root path even if the replacement curve compares equal.
+        idle core) is pinned until fresh statistics arrive.  The leaf is
+        spliced (forced dirty) and its cluster marked stale so the next
+        solve re-combines its root path even if the replacement curve
+        compares equal.
         """
         self.curves.pop(core_id, None)
-        if self._tree is not None:
-            self._tree.invalidate(core_id)
+        if self._packed is not None:
+            self._packed.invalidate(core_id)
+            self._stale_clusters.add(self._cluster_of[core_id])
 
     # -- dimension restrictions ---------------------------------------------
     def _dims(self, system: SystemConfig) -> DimSpec:
@@ -412,24 +408,6 @@ class CoordinatedManager(ResourceManager):
         return leaves
 
     # -- the decision ----------------------------------------------------------
-    def _live_leaf(self, core_id: int, oracle_leaves) -> EnergyCurve:
-        """The reduction-tree leaf for ``core_id`` this invocation.
-
-        One selection rule shared by the flat and clustered incremental
-        pipelines, so the two can never drift: the oracle curve (or the idle
-        leaf) when running with perfect models, otherwise the held
-        analytical curve, the idle leaf for a power-gated core, or the
-        baseline-pinned leaf for a core without statistics yet.
-        """
-        if oracle_leaves is not None:
-            curve = oracle_leaves.get(core_id)
-            return curve if curve is not None else self._static_leaf(core_id, idle=True)
-        if not self.sim.is_active(core_id):
-            return self._static_leaf(core_id, idle=True)
-        if core_id in self.curves:
-            return self.curves[core_id]
-        return self._static_leaf(core_id, idle=False)
-
     def _inactive_cores(self) -> frozenset[int]:
         """Ids of power-gated cores, read once per invocation.
 
@@ -451,11 +429,14 @@ class CoordinatedManager(ResourceManager):
         return frozenset(j for j in range(n) if not sim.is_active(j))
 
     def _live_leaves(self, core_ids, oracle_leaves, inactive) -> list[EnergyCurve]:
-        """Batched :meth:`_live_leaf` over ``core_ids`` (same selection rule).
+        """The reduction leaves for ``core_ids`` this invocation.
 
-        ``inactive`` is the invocation-wide :meth:`_inactive_cores` set, so
-        a system-wide leaf refresh performs one activity read instead of a
-        per-core bridge round-trip.
+        The oracle curve (or the idle leaf) when running with perfect
+        models; otherwise the idle leaf for a power-gated core, the held
+        analytical curve, or the baseline-pinned leaf for a core without
+        statistics yet.  ``inactive`` is the invocation-wide
+        :meth:`_inactive_cores` set, so a system-wide leaf refresh performs
+        one activity read instead of a per-core bridge round-trip.
         """
         if oracle_leaves is not None:
             return [
@@ -479,23 +460,24 @@ class CoordinatedManager(ResourceManager):
         self.curves[core_id] = self._analytical_curve_memo(core_id)
         return None
 
-    def _to_allocations(self, assignment, touched=None) -> dict[int, Allocation] | None:
+    def _to_allocations(self, assignment, touched) -> dict[int, Allocation] | None:
         """Convert a solved ``{core: (c, f, w)}`` map into allocations.
 
         Allocation objects are cached per setting, so a core whose setting
         did not change receives the *same* object as last invocation and
         the kernel's apply loop skips it on identity alone.  A fully cached
-        solve (the reduction tree returning its previous assignment object)
+        solve (the reduction returning its previous assignment object)
         short-circuits to the previous allocation map -- the same dict
         object, which the kernel recognises as already applied.  Returned
         maps are treated as immutable by that contract.
 
-        ``touched`` (the packed solver's rewritten core ids) upgrades the
-        translation to a delta: every untouched entry of ``assignment`` is
-        object-identical to the previous one, so the new map copies the
-        previous map wholesale and re-translates only the touched cores,
-        annotating the result (:class:`AllocationMap`) so the kernel's
-        apply loop can skip the untouched entries as well.
+        After the first solve the translation is a delta: ``touched`` (the
+        reduction's rewritten core ids) names every entry of
+        ``assignment`` that is not object-identical to the previous one,
+        so the new map copies the previous map wholesale and re-translates
+        only the touched cores, annotating the result
+        (:class:`AllocationMap`) so the kernel's apply loop can skip the
+        untouched entries as well.
         """
         if assignment is None:
             return None
@@ -503,11 +485,7 @@ class CoordinatedManager(ResourceManager):
         if cached is not None and cached[0] is assignment:
             return cached[1]
         cache = self._alloc_cache
-        if (
-            touched is not None
-            and cached is not None
-            and len(cached[1]) == len(assignment)
-        ):
+        if cached is not None:
             prev_out = cached[1]
             out = AllocationMap(prev_out)
             delta: list[tuple[int, Allocation]] = []
@@ -536,29 +514,34 @@ class CoordinatedManager(ResourceManager):
         return out
 
     def on_interval(self, core_id: int) -> dict[int, Allocation] | None:
-        """Decide new allocations after ``core_id`` finished an interval."""
+        """Decide new allocations after ``core_id`` finished an interval.
+
+        A cluster's leaves are a pure function of the held/oracle curves
+        and the active set; both change only at the invoking core
+        (:meth:`_begin_decision`) or via :meth:`on_scenario_event`, so only
+        stale clusters re-install their member leaves (identity-checked,
+        so unchanged curves stay clean).  Oracle curves also move with
+        every phase boundary, so oracle mode refreshes every cluster.  One
+        packed solve then recombines every dirty root path -- cluster
+        levels and the second-level combine alike -- in ~log N batched
+        sweeps, charging the invocation's static DP total in a single
+        integer-exact replay.
+        """
         if not self.incremental:
             return self._on_interval_reference(core_id)
-        system = self.sim.system
-        timer = self._stage_timer
-        if timer is not None:
-            t0 = time.perf_counter()
         oracle_leaves = self._begin_decision(core_id)
-        if timer is not None:
-            t1 = time.perf_counter()
-            timer.add("manager.curves", t1 - t0)
-        tree = self._tree
-        tree.set_leaves(
-            self._live_leaves(range(system.ncores), oracle_leaves,
-                              self._inactive_cores())
-        )
-        assignment = tree.solve(self.meter)
-        out = self._to_allocations(
-            assignment, getattr(tree, "last_touched", None)
-        )
-        if timer is not None:
-            timer.add("manager.reduce", time.perf_counter() - t1)
-        return out
+        packed = self._packed
+        stale = self._stale_clusters
+        stale.add(self._cluster_of[core_id])
+        if self.oracle:
+            stale = range(len(self._clusters))
+        inactive = self._inactive_cores() if oracle_leaves is None else frozenset()
+        for ci in stale:
+            packed.set_group_leaves(
+                ci, self._live_leaves(self._clusters[ci], oracle_leaves, inactive)
+            )
+        self._stale_clusters = set()
+        return self._to_allocations(packed.solve(self.meter), packed.last_touched)
 
     def _on_interval_reference(self, core_id: int) -> dict[int, Allocation] | None:
         """The pre-batching decision path, verbatim (executable reference)."""
@@ -588,25 +571,24 @@ class ClusteredManager(CoordinatedManager):
 
     Cores are partitioned into contiguous clusters of ``cluster_size``.
     Every cluster runs the flat manager's batched local pipeline -- the same
-    memoized per-core energy curves -- into its own persistent
-    :class:`~repro.core.global_opt.ReductionTree`, whose combines are capped
-    at the cluster's way budget (``overprovision`` times its proportional
-    LLC share, see :func:`~repro.core.global_opt.cluster_way_caps`).  A
-    second-level tree then min-plus combines the per-cluster *aggregate*
-    curves (the cluster roots, spliced in as leaves) to decide how many LLC
-    ways each cluster receives; back-tracking the second-level solution
-    recurses through the cluster roots down to per-core settings, so one
-    walk yields the full system assignment.  Because the QoS-pruned curves
-    already encode each core's energy/slack trade-off, redistributing ways
-    between clusters is what moves power and slack budgets between them.
+    memoized per-core energy curves -- into its own group of the packed
+    reduction, whose combines are capped at the cluster's way budget
+    (``overprovision`` times its proportional LLC share, see
+    :func:`~repro.core.global_opt.cluster_way_caps`).  A second stage then
+    min-plus combines the per-cluster *aggregate* curves to decide how many
+    LLC ways each cluster receives; back-tracking recurses through the
+    cluster roots down to per-core settings, so one walk yields the full
+    system assignment.  Because the QoS-pruned curves already encode each
+    core's energy/slack trade-off, redistributing ways between clusters is
+    what moves power and slack budgets between them.
 
-    Scenario events splice only ``O(log cluster_size)`` intra-cluster nodes
-    plus ``O(log nclusters)`` second-level nodes: ``on_scenario_event``
-    forces the affected cluster leaf dirty, and an unchanged cluster
-    re-enters the second level as a clean cached aggregate.
+    The decision path is the base class's: this class only supplies the
+    partition.  Scenario events splice ``O(log cluster_size)`` intra-cluster
+    rows plus ``O(log nclusters)`` second-stage rows, and clean clusters
+    skip leaf installation.
 
     Equivalence contract: with ``cluster_size >= ncores`` (one cluster) the
-    cap equals the full associativity and the second level is a
+    cap equals the full associativity and the second stage is a
     pass-through, so decisions, energies and metered overheads are
     bit-identical to ``CoordinatedManager(incremental=True)`` --
     ``tests/test_clustered.py`` enforces this.  With several clusters the
@@ -644,162 +626,15 @@ class ClusteredManager(CoordinatedManager):
         )
         self.cluster_size = int(cluster_size)
         self.overprovision = float(overprovision)
-        self._clusters: tuple[tuple[int, ...], ...] = ()
-        self._cluster_trees: list[ReductionTree] = []
-        self._cluster_of: dict[int, tuple[int, int]] = {}
-        self._level2: ReductionTree | None = None
-        # The many-core fast path: the whole hierarchy planned into one
-        # level-synchronous PackedReduction (None below PACKED_MIN_CORES).
-        self._packed: PackedReduction | None = None
-        self._packed_base: list[int] = []
-        # Clusters whose leaf inputs may have changed since their last
-        # grouped refresh (see on_interval).
-        self._stale_clusters: set[int] = set()
-        # Per-cluster (root node, replay DP cells) of the last real refresh,
-        # so clean clusters skip their tree walk wholesale.
-        self._cluster_roots: list = []
 
-    def _init_trees(self, system: SystemConfig) -> None:
-        """Per-cluster capped trees plus the second-level combine tree.
-
-        At many-core scale (:func:`~repro.core.packed_tree.packed_enabled`)
-        the entire hierarchy is planned into one
-        :class:`~repro.core.packed_tree.PackedReduction` instead: every
-        cluster's combine levels and the second-level stage share the same
-        packed matrices, so one invocation performs ~log N batched sweeps
-        over all dirty clusters at once rather than per-node dispatches.
-        Both paths are bit-identical (``tests/test_packed_tree.py``).
-        """
-        self._clusters = partition_clusters(system.ncores, self.cluster_size)
+    def _partition(self, system: SystemConfig):
+        """Contiguous clusters of ``cluster_size`` under capped way budgets."""
+        clusters = partition_clusters(system.ncores, self.cluster_size)
         caps = cluster_way_caps(
-            system.llc.ways, system.ncores, self._clusters,
+            system.llc.ways, system.ncores, clusters,
             system.min_ways_per_core, self.overprovision,
         )
-        self._cluster_of = {
-            j: (ci, local)
-            for ci, members in enumerate(self._clusters)
-            for local, j in enumerate(members)
-        }
-        self._stale_clusters = set(range(len(self._clusters)))
-        if packed_enabled(system.ncores):
-            self._packed = PackedReduction(
-                tuple(len(members) for members in self._clusters),
-                tuple(caps), system.llc.ways, system.min_ways_per_core,
-            )
-            bases, base = [], 0
-            for members in self._clusters:
-                bases.append(base)
-                base += len(members)
-            self._packed_base = bases
-            self._cluster_trees = []
-            self._level2 = None
-            self._cluster_roots = []
-            return
-        self._packed = None
-        self._packed_base = []
-        self._cluster_trees = [
-            ReductionTree(len(members), cap, system.min_ways_per_core)
-            for members, cap in zip(self._clusters, caps)
-        ]
-        self._level2 = ReductionTree(
-            len(self._clusters), system.llc.ways, system.min_ways_per_core
-        )
-        self._cluster_roots = [None] * len(self._clusters)
-
-    def on_scenario_event(self, core_id: int, kind: str) -> None:
-        """Splice the affected cluster leaf on a tenancy change."""
-        # The base class drops the held curve (its flat-tree branch is a
-        # no-op here: the hierarchy never installs self._tree).
-        super().on_scenario_event(core_id, kind)
-        if self._packed is not None:
-            ci, local = self._cluster_of[core_id]
-            self._packed.invalidate(self._packed_base[ci] + local)
-            self._stale_clusters.add(ci)
-        elif self._cluster_trees:
-            ci, local = self._cluster_of[core_id]
-            self._cluster_trees[ci].invalidate(local)
-            self._stale_clusters.add(ci)
-
-    def on_interval(self, core_id: int) -> dict[int, Allocation] | None:
-        """Two-level decision: refresh cluster trees, combine their roots.
-
-        Leaf refreshes are grouped: each cluster receives its member curves
-        in one :meth:`~repro.core.global_opt.ReductionTree.set_leaves` call
-        and one :meth:`~repro.core.global_opt.ReductionTree.refresh`, so a
-        system-wide reallocation costs one grouped refresh per cluster (a
-        fully clean cluster short-circuits to a single replay charge)
-        instead of per-core tree walks.
-        """
-        if self._packed is not None:
-            return self._on_interval_packed(core_id)
-        oracle_leaves = self._begin_decision(core_id)
-        level2 = self._level2
-        meter = self.meter
-        # A cluster's leaves are a pure function of the held/oracle curves
-        # and the active set; both change only at the invoking core
-        # (_begin_decision) or via on_scenario_event, so clusters outside
-        # the stale set can skip leaf installation outright.  Oracle curves
-        # additionally move with every phase boundary, so oracle mode
-        # refreshes every cluster's leaves.
-        stale = self._stale_clusters
-        stale.add(self._cluster_of[core_id][0])
-        if self.oracle:
-            stale = set(range(len(self._clusters)))
-        inactive = self._inactive_cores() if oracle_leaves is None else frozenset()
-        roots = self._cluster_roots
-        replay_cells = 0
-        for ci, members in enumerate(self._clusters):
-            cached = roots[ci]
-            if ci not in stale and cached is not None:
-                # Clean cluster: its root already sits in the second-level
-                # tree; batch the replay charge its refresh would make
-                # (exact integer DP-cell counts, so one summed charge is
-                # bit-identical to the per-tree charges it replaces).
-                replay_cells += cached[1]
-                continue
-            tree = self._cluster_trees[ci]
-            tree.set_leaves(self._live_leaves(members, oracle_leaves, inactive))
-            root, changed = tree.refresh(meter)
-            level2.set_leaf_node(ci, root, changed)
-            roots[ci] = (root, tree.replay_cells)
-        if replay_cells:
-            meter.charge_replay(dp_cells=replay_cells)
-        self._stale_clusters = set()
-        return self._to_allocations(level2.solve(meter))
-
-    def _on_interval_packed(self, core_id: int) -> dict[int, Allocation] | None:
-        """The many-core decision through the packed hierarchy.
-
-        Stale-cluster bookkeeping mirrors the node-graph path exactly: a
-        stale cluster re-installs its member leaves (identity-checked, so
-        unchanged curves stay clean), then one packed solve recombines
-        every dirty root path of every cluster -- cluster levels and the
-        second-level combine alike -- in ~log N batched sweeps, charging
-        the invocation's static DP total in a single integer-exact replay.
-        """
-        timer = self._stage_timer
-        if timer is not None:
-            t0 = time.perf_counter()
-        oracle_leaves = self._begin_decision(core_id)
-        if timer is not None:
-            t1 = time.perf_counter()
-            timer.add("manager.curves", t1 - t0)
-        packed = self._packed
-        stale = self._stale_clusters
-        stale.add(self._cluster_of[core_id][0])
-        if self.oracle:
-            stale = range(len(self._clusters))
-        inactive = self._inactive_cores() if oracle_leaves is None else frozenset()
-        for ci in stale:
-            packed.set_group_leaves(
-                ci, self._live_leaves(self._clusters[ci], oracle_leaves, inactive)
-            )
-        self._stale_clusters = set()
-        assignment = packed.solve(self.meter)
-        out = self._to_allocations(assignment, packed.last_touched)
-        if timer is not None:
-            timer.add("manager.reduce", time.perf_counter() - t1)
-        return out
+        return clusters, caps
 
 
 def _make_manager(

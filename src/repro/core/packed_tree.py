@@ -1,10 +1,11 @@
-"""Packed level-synchronous min-plus reduction: the many-core fast path.
+"""Packed level-synchronous min-plus reduction: the managers' reduction.
 
-:class:`~repro.core.global_opt.ReductionTree` walks its combine nodes one
-at a time, so a 64-256-core invocation issues hundreds of small NumPy
-dispatches (one padded-window add + argmin per node) and, at the top of
-the tree, computes full ``O(ways^2)`` DP matrices of which the solve reads
-a single column.  :class:`PackedReduction` keeps the *same* reduction --
+The node-graph :class:`~repro.core.global_opt.ReductionTree` walks its
+combine nodes one at a time, so a 64-256-core invocation issues hundreds of
+small NumPy dispatches (one padded-window add + argmin per node) and, at
+the top of the tree, computes full ``O(ways^2)`` DP matrices of which the
+solve reads a single column.  :class:`PackedReduction` keeps the *same*
+reduction --
 identical pairing order, identical argmin tie-breaks, identical metered
 DP-cell accounting -- in a packed struct-of-arrays layout:
 
@@ -34,12 +35,12 @@ DP-cell accounting -- in a packed struct-of-arrays layout:
   solve (bit-identical to the per-node charges of the node-graph path:
   integer DP-cell counts are exact in float64 and order-free).
 
-The node-graph :class:`~repro.core.global_opt.ReductionTree` remains the
-golden reference; managers dispatch on :func:`packed_enabled` (threshold
-:data:`PACKED_MIN_CORES`, analogous to the engine's ``VECTOR_MIN_CORES``)
-and ``tests/test_packed_tree.py`` asserts bit-identity -- assignments,
-splits, meter charges -- across random widths, odd leaf counts, way caps
-and splice orders.
+Every incremental manager, flat (one group) or clustered, runs this
+reduction at every core count.  The node-graph
+:class:`~repro.core.global_opt.ReductionTree` is kept as the golden
+reference: ``tests/test_packed_tree.py`` asserts bit-identity --
+assignments, splits, meter charges -- across random widths, odd leaf
+counts, way caps and splice orders.
 
 Batched sweep layout (one tree level, ``m`` dirty rows)::
 
@@ -61,24 +62,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import _arange, _dp_cell_count, _scratch
+from repro.core.global_opt import _dp_cell_count, _scratch
 from repro.core.overhead_meter import OverheadMeter
 from repro.util.validation import require
 
-__all__ = ["PackedReduction", "PACKED_MIN_CORES", "packed_enabled"]
-
-#: Core count at or above which the managers build a :class:`PackedReduction`
-#: instead of per-node :class:`~repro.core.global_opt.ReductionTree`s.  Below
-#: it the node-graph path is at least as fast (the packed sweep's per-level
-#: gather/scatter overhead needs several rows per level to pay off); both are
-#: bit-identical, so -- like the engine's ``VECTOR_MIN_CORES`` -- this is
-#: purely a dispatch choice.
-PACKED_MIN_CORES = 32
-
-
-def packed_enabled(ncores: int) -> bool:
-    """Whether managers should use the packed reduction at this scale."""
-    return ncores >= PACKED_MIN_CORES
+__all__ = ["PackedReduction"]
 
 
 class _Rec:
@@ -270,6 +258,10 @@ class PackedReduction:
             max_depth = max(max_depth, depth)
             group_roots.append(root)
         root_rec, _ = reduce_stage(group_roots, total_ways, max_depth)
+        # DP cells of a from-scratch rebuild: every combine node's in-range
+        # pair count at its *true* (untruncated) shape.  A constant of the
+        # plan, charged once per solve -- the packed equivalent of the
+        # node-graph path's per-node combine and replay charges.
         self._total_cells = total_cells
 
         # ---- root way total (static) and needed-range propagation ---------
@@ -339,14 +331,6 @@ class PackedReduction:
         self.last_touched: list[int] | None = None
 
     # ---- leaf installation ---------------------------------------------------
-    @property
-    def total_cells(self) -> int:
-        """DP cells of a from-scratch rebuild: every combine node's in-range
-        pair count at its *true* (untruncated) shape.  A constant of the
-        plan, charged once per solve -- the packed equivalent of the
-        node-graph path's per-node combine and replay charges."""
-        return self._total_cells
-
     def _write_leaf(self, slot: int, curve: EnergyCurve) -> None:
         require(curve.max_ways >= self._leaf_caps[slot],
                 "leaf curve must span its group's way cap")
@@ -366,32 +350,15 @@ class PackedReduction:
         self._dirty_slots.add(slot)
         self._stamp0[slot] = -1
 
-    def set_leaf(self, slot: int, curve: EnergyCurve) -> None:
-        """Install a leaf curve, marking it dirty only if it changed."""
-        prev = self._held[slot]
-        if prev is not None and slot not in self._dirty_slots:
-            if prev is curve or prev.same_curve(curve):
-                self._held[slot] = curve
-                return
-        self._write_leaf(slot, curve)
-
-    def set_leaves(self, curves: list[EnergyCurve]) -> None:
-        """Install one curve per leaf slot, in slot order (grouped refresh)."""
-        require(len(curves) == self.nleaves, "need exactly one curve per leaf")
-        self._set_range(0, curves)
-
     def set_group_leaves(self, group: int, curves: list[EnergyCurve]) -> None:
-        """Install one group's member curves (the hierarchical manager's
-        stale-cluster refresh); untouched groups keep their clean rows."""
+        """Install one group's member curves (the managers' stale-cluster
+        refresh), marking a leaf dirty only if its curve changed;
+        untouched groups keep their clean rows."""
         require(len(curves) == self._group_sizes[group],
                 "need exactly one curve per group member")
-        self._set_range(self._group_base[group], curves)
-
-    def _set_range(self, base: int, curves) -> None:
         held = self._held
         dirty = self._dirty_slots
-        for i, curve in enumerate(curves):
-            slot = base + i
+        for slot, curve in enumerate(curves, self._group_base[group]):
             prev = held[slot]
             if prev is not None and slot not in dirty:
                 if prev is curve or prev.same_curve(curve):

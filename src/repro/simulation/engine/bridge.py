@@ -27,13 +27,6 @@ class ManagerBridge:
         #: baseline allocation and QoS anchor from it).
         self.system = kernel.system
 
-    @property
-    def stage_timer(self):
-        """The kernel's :class:`~repro.util.profiling.StageTimer` under the
-        ``REPRO_PROFILE`` hook, else ``None`` (managers add sub-stage
-        timings to it)."""
-        return self._kernel.stage_timer
-
     def slack(self, core_id: int) -> float:
         """The core's current QoS slack (0.0 = strict baseline QoS)."""
         return self._kernel.cores[core_id].slack

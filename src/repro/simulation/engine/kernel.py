@@ -54,7 +54,6 @@ from repro.simulation.engine.scheduler import CompletionScheduler
 from repro.simulation.engine.tenancy import TenancyModel
 from repro.simulation.metrics import AppResult, IntervalSample, RunResult
 from repro.simulation.overheads import transition_cost
-from repro.util.profiling import StageTimer, profiling_enabled
 from repro.util.validation import require
 from repro.workloads.mixes import Workload
 
@@ -137,9 +136,6 @@ class SimulationKernel:
         #: Global events simulated by the last run() (replay throughput
         #: denominator for the scaling benchmarks).
         self.events_simulated = 0
-        #: Per-stage wall-clock accounting, present only under the
-        #: REPRO_PROFILE env hook (managers read it through the bridge).
-        self.stage_timer = StageTimer() if profiling_enabled() else None
 
     # ---- manager-facing API (delegated to the bridge) ------------------------
     def slack(self, core_id: int) -> float:
@@ -287,8 +283,6 @@ class SimulationKernel:
         use_vector = self.system.ncores >= VECTOR_MIN_CORES
         events = 0
         last_applied = None
-        timer = self.stage_timer
-        tm = 0.0
         while not self._finished():
             events += 1
             require(events <= MAX_EVENTS, "event cap exceeded (manager thrashing?)")
@@ -329,11 +323,7 @@ class SimulationKernel:
                 # skip the invocation rather than optimise for a ghost.
                 invoke_manager = not tenancy.apply_due(self.time_ns, completed_core=j)
             if invoke_manager:
-                if timer is not None:
-                    tm = time.perf_counter()
                 new_allocs = self.manager.on_interval(j)
-                if timer is not None:
-                    timer.add("manager.decide", time.perf_counter() - tm)
                 # Managers serving a fully cached decision return the same
                 # dict object as last invocation; every entry in it was
                 # already applied, so re-walking it is a guaranteed no-op
@@ -341,11 +331,7 @@ class SimulationKernel:
                 # contract).  Debug mode verifies the contract held.
                 if new_allocs:
                     if new_allocs is not last_applied:
-                        if timer is not None:
-                            tm = time.perf_counter()
                         self._apply(new_allocs)
-                        if timer is not None:
-                            timer.add("kernel.apply", time.perf_counter() - tm)
                         last_applied = new_allocs
                     elif _WAYS_AUDIT:
                         assert all(
@@ -383,9 +369,6 @@ class SimulationKernel:
                 for c in cores
             ]
             run_name = self.workload.name
-        if timer is not None:
-            timer.add("run.total", time.perf_counter() - t0)
-            timer.dump(run_name)
         return RunResult(
             workload=run_name,
             manager=self.manager.name,

@@ -14,26 +14,26 @@ The property tests drive persistent instances through randomized splice /
 update sequences over inf-heavy curves (sporadic infeasible entries plus
 pinned single-way curves, the shapes idle cores and capped clusters
 produce), covering flat trees, odd leaf counts, uneven final clusters and
-over-provisioned way caps.  A forced-packed manager run (monkeypatched
-:data:`~repro.core.packed_tree.PACKED_MIN_CORES` threshold) pins the
-dispatch wiring end to end below the many-core scale.
+over-provisioned way caps.  The managers run the packed plan at every
+core count; an 8-core multi-cluster churn replay is pinned to the result
+digest it produced through the node-graph hierarchy, so the manager-level
+wiring stays checked against the reference below the many-core scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.curves import EnergyCurve
 from repro.core.global_opt import ReductionTree, cluster_way_caps, partition_clusters
 from repro.core.managers import rm2_combined
 from repro.core.overhead_meter import OverheadMeter
-from repro.core.packed_tree import PACKED_MIN_CORES, PackedReduction, packed_enabled
+from repro.core.packed_tree import PackedReduction
 from repro.scenarios import cluster_churn
+from repro.simulation.metrics import run_result_digest
 from repro.simulation.rma_sim import RMASimulator
 from tests.conftest import TEST_BENCHMARKS
-from tests.test_clustered import assert_same_numbers
 
 
 def _random_curves(rng, ncores, ways, inf_p=0.25):
@@ -201,33 +201,20 @@ class TestPackedBitIdentity:
         assert m_pk.instructions == m_ref.instructions
 
 
-class TestPackedManagerDispatch:
-    """The manager's packed path equals its node-graph path end to end."""
+#: ``run_result_digest`` of the replay below when the manager still reduced
+#: it through the node-graph ``ReductionTree`` hierarchy (below 32 cores).
+NODE_GRAPH_CHURN_DIGEST = "406f0118cbdf7094"
 
-    def test_threshold_gates_the_packed_plan(self):
-        assert packed_enabled(PACKED_MIN_CORES)
-        assert not packed_enabled(PACKED_MIN_CORES - 1)
 
-    def test_forced_packed_replay_is_bit_identical(
-        self, system8, db8, monkeypatch
-    ):
-        """8-core cluster-churn replay, packed forced on vs off."""
+class TestPackedManagerReplay:
+    """The manager's packed path reproduces the node-graph replay."""
+
+    def test_multi_cluster_replay_matches_node_graph_digest(self, system8, db8):
+        """8-core cluster-churn replay with four 2-core clusters."""
         sc = cluster_churn("packed-eq", 8, TEST_BENCHMARKS, cluster_size=2,
                            cycles=3, idle_intervals=1.0,
                            horizon_intervals=48, seed=5)
-
-        import repro.core.managers as managers_mod
-
-        monkeypatch.setattr(managers_mod, "packed_enabled", lambda n: True)
         mgr = rm2_combined(cluster_size=2)
-        forced = RMASimulator(system8, db8, sc.workload, mgr,
-                              max_slices=6, scenario=sc).run()
-        assert mgr._packed is not None  # the packed plan really ran
-
-        monkeypatch.setattr(managers_mod, "packed_enabled", lambda n: False)
-        mgr = rm2_combined(cluster_size=2)
-        node_graph = RMASimulator(system8, db8, sc.workload, mgr,
-                                  max_slices=6, scenario=sc).run()
-        assert mgr._packed is None
-
-        assert_same_numbers(forced, node_graph)
+        run = RMASimulator(system8, db8, sc.workload, mgr,
+                           max_slices=6, scenario=sc).run()
+        assert run_result_digest(run) == NODE_GRAPH_CHURN_DIGEST

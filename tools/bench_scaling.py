@@ -6,17 +6,15 @@ wall past ~32 cores: its top combines widen with the full LLC
 associativity, so per-invocation cost grows superlinearly with the core
 count.  This benchmark drives the 64-core S5 "cluster churn" scenario --
 whole clusters draining and refilling -- under the hierarchical
-``ClusteredManager`` (per-cluster capped reduction trees plus a
-second-level combine), times it against the flat incremental manager and
-the static baseline, and verifies the single-cluster equivalence contract
-(``cluster_size >= ncores`` is bit-identical to the flat manager) on a
-16-core replay.  128- and 256-core S7 datapoints (the scaling
-experiment's cluster-churn shape with idle gaps) track the next two
-doublings, each annotated with a report-only per-stage timing split
-(manager decide / curves / reduce, kernel apply / advance) from one extra
-``REPRO_PROFILE``-instrumented replay, and every replay records its event
-throughput (``events_per_sec`` -- global simulation events retired per
-wall-clock second, the struct-of-arrays engine's headline number).
+``ClusteredManager`` (per-cluster capped groups of the packed reduction
+plus a second-level combine), times it against the flat incremental
+manager and the static baseline, and verifies the single-cluster
+equivalence contract (``cluster_size >= ncores`` is bit-identical to the
+flat manager) on a 16-core replay.  128- and 256-core S7 datapoints (the
+scaling experiment's cluster-churn shape with idle gaps) track the next
+two doublings, and every replay records its event throughput
+(``events_per_sec`` -- global simulation events retired per wall-clock
+second, the struct-of-arrays engine's headline number).
 Results land in
 ``benchmarks/_artifacts/BENCH_scaling.json``: wall-clocks and the
 ``result_hash`` / ``bit_identical`` fields are enforced by the CI
@@ -81,36 +79,6 @@ def _replay(ctx, scenario, manager_factory, max_slices, repeats):
 def _events_per_sec(sim, best_s: float) -> float:
     """Replay throughput: simulated global events per wall-clock second."""
     return round(sim.events_simulated / best_s, 1) if best_s > 0 else 0.0
-
-
-def _stage_split(ctx, scenario, manager_factory, max_slices) -> dict:
-    """Per-stage seconds of one extra instrumented replay (report-only).
-
-    Runs the replay once more under ``REPRO_PROFILE`` and returns the
-    :class:`~repro.util.profiling.StageTimer` breakdown.  Key names carry
-    no ``_s`` suffix on purpose: instrumented sub-stage times are noisier
-    than the gated end-to-end wall-clocks, so the regression gate ignores
-    them -- they are the *where did it go* annotation next to the gated
-    *how fast* numbers.
-    """
-    os.environ["REPRO_PROFILE"] = "1"
-    try:
-        sim = RMASimulator(
-            ctx.system,
-            ctx.db,
-            scenario.workload,
-            manager_factory(),
-            max_slices=max_slices,
-            scenario=scenario,
-        )
-        sim.run()
-        breakdown = sim.stage_timer.breakdown()
-    finally:
-        del os.environ["REPRO_PROFILE"]
-    return {
-        stage.replace(".", "_"): round(seconds, 4)
-        for stage, seconds in sorted(breakdown.items())
-    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,7 +212,6 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "result_hash": run_result_hash(s7_run),
             "rma_invocations": int(s7_run.rma_invocations),
-            "stage_split": _stage_split(s7_ctx, s7_scenario, s7_factory, args.max_slices),
         }
         print(
             f"{s7_n}-core S7: clustered {s7_s:6.3f}s  baseline {s7_base_s:6.3f}s  "

@@ -144,7 +144,7 @@ hashes).  See "Running as a service" in `README.md`.
 * `BENCH_manager_overhead.json` (`tools/bench_manager_overhead.py`) — the
   batched/incremental coordinated-manager pipeline (`incremental=True`:
   stacked `(N, C, F, W)` curve construction, curve memoization, persistent
-  `ReductionTree`) vs the recompute-everything reference pipeline
+  `PackedReduction`) vs the recompute-everything reference pipeline
   (`incremental=False`) across RM1/RM2/RM3/dvfs-only on the 8-core Poisson
   scenario (512 intervals, `--max-slices 24`, trace density 400) — ≈3–5×
   end-to-end with `bit_identical=true` per manager;
